@@ -24,13 +24,15 @@
 
 use crate::grid::derive_seed;
 use crate::runner::AggStat;
+use crate::serve::{fold_latency, latency_micros};
 use crate::table;
 use crate::Scale;
 use pdm_auction::{AuctionLedger, AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::Vector;
+use pdm_obs::LogHistogram;
 use pdm_service::{
-    AuctionPolicy, AuctionRequest, MarketService, MetricRegistry, ServiceConfig, ShardMetrics,
-    TenantConfig, TenantId, TenantState,
+    AuctionPolicy, AuctionRequest, MarketService, MetricRegistry, ServiceConfig, TenantConfig,
+    TenantId, TenantState,
 };
 use std::time::{Duration, Instant};
 
@@ -209,13 +211,9 @@ struct RecordedRound {
 /// The per-repetition outcome handed to the aggregator.
 struct RepOutcome {
     ledger: AuctionLedger,
-    /// The service-wide metrics fold, carrying the all-time latency
-    /// streaming stats (the bounded percentile window alone would drop the
-    /// mean).
-    metrics: ShardMetrics,
-    latency_pool: Vec<f64>,
     drain_time: Duration,
-    /// The service's final `pdm-obs` scrape, folded into the run registry.
+    /// The service's final `pdm-obs` scrape, folded into the run registry
+    /// (and the source of the cell's latency figures).
     scrape: MetricRegistry,
 }
 
@@ -316,8 +314,7 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<RepOutcom
     // The service's own (FIFO-ordered) ledger must agree on every counter;
     // monetary sums legitimately differ in addition order, so they are
     // compared through the counters and the per-round bits above.
-    let metrics = service.aggregate_metrics();
-    let served = metrics.auction;
+    let served = service.aggregate_metrics().auction;
     if served.auctions != ledger.auctions
         || served.sales != ledger.sales
         || served.reserve_hits != ledger.reserve_hits
@@ -335,15 +332,8 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<RepOutcom
         ));
     }
 
-    let latency_pool = service
-        .shard_metrics()
-        .iter()
-        .flat_map(|shard| shard.latency_window().to_vec())
-        .collect();
     Ok(RepOutcome {
         ledger,
-        metrics,
-        latency_pool,
         drain_time,
         scrape: service.scrape(),
     })
@@ -360,22 +350,20 @@ pub fn run_auction_cell_obs(
     let started = Instant::now();
     let reps = reps.max(1);
     let mut totals = AuctionLedger::default();
-    let mut metrics = ShardMetrics::new();
     let mut revenue = Vec::with_capacity(reps as usize);
     let mut baseline = Vec::with_capacity(reps as usize);
     let mut welfare = Vec::with_capacity(reps as usize);
     let mut hit_rate = Vec::with_capacity(reps as usize);
-    let mut latency_pool: Vec<f64> = Vec::new();
+    let mut latency = LogHistogram::new();
     let mut drain_time = Duration::ZERO;
     for rep in 0..reps {
-        let mut outcome = run_rep(spec, workers, rep)?;
+        let outcome = run_rep(spec, workers, rep)?;
         revenue.push(outcome.ledger.revenue);
         baseline.push(outcome.ledger.baseline_revenue);
         welfare.push(outcome.ledger.welfare);
         hit_rate.push(outcome.ledger.reserve_hit_rate());
         totals.merge(&outcome.ledger);
-        metrics.merge(&outcome.metrics);
-        latency_pool.append(&mut outcome.latency_pool);
+        fold_latency(&mut latency, &outcome.scrape);
         drain_time += outcome.drain_time;
         obs.merge(&outcome.scrape);
     }
@@ -386,10 +374,7 @@ pub fn run_auction_cell_obs(
     } else {
         0.0
     };
-    let (p50, p99) = match pdm_linalg::quantiles(&latency_pool, &[0.50, 0.99]) {
-        Ok(qs) => (qs[0], qs[1]),
-        Err(_) => (f64::NAN, f64::NAN),
-    };
+    let (latency_mean_micros, latency_p50_micros, latency_p99_micros) = latency_micros(&latency);
     Ok(AuctionCellReport {
         label: spec.label.clone(),
         distribution: spec.distribution.name().to_owned(),
@@ -410,9 +395,9 @@ pub fn run_auction_cell_obs(
         perf: AuctionPerf {
             wall_clock_secs: started.elapsed().as_secs_f64(),
             rounds_per_sec,
-            latency_mean_micros: metrics.latency_stats().mean(),
-            latency_p50_micros: p50,
-            latency_p99_micros: p99,
+            latency_mean_micros,
+            latency_p50_micros,
+            latency_p99_micros,
         },
     })
 }
@@ -565,10 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_mean_pools_the_all_time_stats_across_reps() {
-        // Regression: the cell mean must come from the merged all-time
-        // streaming stats, not be dropped (NaN) or read off the bounded
-        // percentile window.
+    fn latency_comes_from_the_scrape_histograms_of_every_rep() {
+        // The cell's latency figures are read off the request-latency
+        // histograms of both repetitions' scrapes: one sample per served
+        // round, a real mean, ordered quantiles.
         let mut obs = MetricRegistry::new();
         let report =
             run_auction_cell_obs(&tiny_cell(2, AuctionPolicy::Session), 2, 2, &mut obs).unwrap();
@@ -577,6 +562,9 @@ mod tests {
             "mean {} must be a real pooled figure",
             report.perf.latency_mean_micros
         );
+        assert!(report.perf.latency_p99_micros >= report.perf.latency_p50_micros);
+        let samples = obs.histogram_counts(pdm_service::REQUEST_LATENCY).unwrap();
+        assert_eq!(samples.count(), report.auctions);
         // The scrape folded both repetitions' auction rounds.
         let rounds = obs
             .counter_value("auction.rounds_total")

@@ -24,15 +24,17 @@
 
 use crate::grid::derive_seed;
 use crate::runner::AggStat;
+use crate::serve::{fold_latency, latency_micros};
 use crate::table;
 use crate::Scale;
+use pdm_obs::LogHistogram;
 use pdm_pricing::prelude::{
     DriftKind, DriftPolicy, DriftSchedule, DriftingLinearEnvironment, Environment, NoiseModel,
     StepOutcome,
 };
 use pdm_service::{
-    MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, ShardMetrics,
-    TenantConfig, TenantId, TenantState,
+    MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig,
+    TenantId, TenantState,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -236,13 +238,11 @@ struct RepOutcome {
     sales: u64,
     fires: u64,
     restarts: u64,
-    /// The service-wide metrics fold, carrying the request counters *and*
-    /// the all-time latency streaming stats (the bounded percentile window
-    /// alone would drop the mean).
-    metrics: ShardMetrics,
-    latency_pool: Vec<f64>,
+    /// Quotes the service served (the throughput numerator).
+    quotes_served: u64,
     drain_time: Duration,
-    /// The service's final `pdm-obs` scrape, folded into the run registry.
+    /// The service's final `pdm-obs` scrape, folded into the run registry
+    /// (and the source of the cell's latency figures).
     scrape: MetricRegistry,
 }
 
@@ -401,11 +401,6 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         ));
     }
 
-    let latency_pool = service
-        .shard_metrics()
-        .iter()
-        .flat_map(|shard| shard.latency_window().to_vec())
-        .collect();
     Ok(RepOutcome {
         revenue,
         regret,
@@ -419,8 +414,7 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         sales,
         fires,
         restarts,
-        metrics,
-        latency_pool,
+        quotes_served: metrics.quotes_served,
         drain_time,
         scrape: service.scrape(),
     })
@@ -444,11 +438,11 @@ pub fn run_drift_cell_obs(
     let mut sales = 0u64;
     let mut fires = 0u64;
     let mut restarts = 0u64;
-    let mut metrics = ShardMetrics::new();
-    let mut latency_pool: Vec<f64> = Vec::new();
+    let mut quotes_served = 0u64;
+    let mut latency = LogHistogram::new();
     let mut drain_time = Duration::ZERO;
     for rep in 0..reps {
-        let mut outcome = run_rep(spec, workers, rep)?;
+        let outcome = run_rep(spec, workers, rep)?;
         revenue.push(outcome.revenue);
         regret.push(outcome.regret);
         post_shift.push(outcome.post_shift_regret);
@@ -457,22 +451,19 @@ pub fn run_drift_cell_obs(
         sales += outcome.sales;
         fires += outcome.fires;
         restarts += outcome.restarts;
-        metrics.merge(&outcome.metrics);
-        latency_pool.append(&mut outcome.latency_pool);
+        quotes_served += outcome.quotes_served;
+        fold_latency(&mut latency, &outcome.scrape);
         drain_time += outcome.drain_time;
         obs.merge(&outcome.scrape);
     }
 
     let drain_secs = drain_time.as_secs_f64();
     let quotes_per_sec = if drain_secs > 0.0 {
-        metrics.quotes_served as f64 / drain_secs
+        quotes_served as f64 / drain_secs
     } else {
         0.0
     };
-    let (p50, p99) = match pdm_linalg::quantiles(&latency_pool, &[0.50, 0.99]) {
-        Ok(qs) => (qs[0], qs[1]),
-        Err(_) => (f64::NAN, f64::NAN),
-    };
+    let (latency_mean_micros, latency_p50_micros, latency_p99_micros) = latency_micros(&latency);
     Ok(DriftCellReport {
         label: spec.label.clone(),
         kind: spec.kind.name().to_owned(),
@@ -494,9 +485,9 @@ pub fn run_drift_cell_obs(
         perf: DriftPerf {
             wall_clock_secs: started.elapsed().as_secs_f64(),
             quotes_per_sec,
-            latency_mean_micros: metrics.latency_stats().mean(),
-            latency_p50_micros: p50,
-            latency_p99_micros: p99,
+            latency_mean_micros,
+            latency_p50_micros,
+            latency_p99_micros,
         },
     })
 }
@@ -652,10 +643,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_mean_pools_the_all_time_stats_across_reps() {
-        // Regression: the cell mean must come from the merged all-time
-        // streaming stats, not be dropped (NaN) or read off the bounded
-        // percentile window.
+    fn latency_comes_from_the_scrape_histograms_of_every_rep() {
+        // The cell's latency figures are read off the request-latency
+        // histograms of both repetitions' scrapes: a real mean, ordered
+        // quantiles.
         let mut obs = MetricRegistry::new();
         let report = run_drift_cell_obs(
             &tiny_cell(piecewise(30), DriftPolicy::Static),

@@ -26,8 +26,9 @@
 //!   per-tenant ledgers bit for bit — the sharded concurrent engine must
 //!   price exactly like the paper's serial loop, or the bench fails.
 //! * **Perf figures** — throughput (quotes served per second of service
-//!   time) and p50/p99 per-request service latency, reported into the
-//!   BENCH v2 schema and explicitly excluded from the determinism
+//!   time) and mean/p50/p99 per-request service latency, read off the
+//!   service's request-latency histogram in the final scrape, reported
+//!   into the BENCH v2 schema and explicitly excluded from the determinism
 //!   fingerprint.
 //!
 //! [`MarketService::drain`]: pdm_service::MarketService::drain
@@ -38,10 +39,11 @@ use crate::runner::AggStat;
 use crate::table;
 use crate::Scale;
 use pdm_linalg::sampling;
+use pdm_obs::LogHistogram;
 use pdm_pricing::prelude::{RegretReport, StepOutcome};
 use pdm_service::{
     MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, ServiceError,
-    ShardMetrics, TenantConfig, TenantId, TenantState,
+    ShardMetrics, TenantConfig, TenantId, TenantState, REQUEST_LATENCY,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -237,15 +239,11 @@ struct RepOutcome {
     regret: f64,
     accept_rate: f64,
     metrics: ShardMetrics,
-    /// Every shard's retained latency window, pooled — the exact sample set
-    /// for the cell percentiles.  (Rolling shards up through
-    /// [`ShardMetrics::merge`] instead would evict the earliest-merged
-    /// shards' samples once the union exceeds the bounded window.)
-    latency_pool: Vec<f64>,
     drain_time: Duration,
-    /// The service's final `pdm-obs` scrape: per-stage span histograms,
-    /// exported counters, and point-in-time gauges.  Folded across reps and
-    /// cells into the run-wide registry `--metrics-out` writes.
+    /// The service's final `pdm-obs` scrape: per-stage span and
+    /// request-latency histograms, exported counters, and point-in-time
+    /// gauges.  Folded across reps and cells into the run-wide registry
+    /// `--metrics-out` writes.
     scrape: MetricRegistry,
 }
 
@@ -405,17 +403,11 @@ fn run_rep(spec: &ServeCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         merged.merge(&served);
     }
 
-    let latency_pool = service
-        .shard_metrics()
-        .iter()
-        .flat_map(|shard| shard.latency_window().to_vec())
-        .collect();
     Ok(RepOutcome {
         revenue: merged.cumulative_revenue,
         regret: merged.cumulative_regret,
         accept_rate: merged.acceptance_rate(),
         metrics: service.aggregate_metrics(),
-        latency_pool,
         drain_time,
         scrape: service.scrape(),
     })
@@ -437,15 +429,15 @@ pub fn run_serve_cell_obs(
     let mut regret = Vec::with_capacity(reps as usize);
     let mut accept_rate = Vec::with_capacity(reps as usize);
     let mut metrics = ShardMetrics::new();
-    let mut latency_pool: Vec<f64> = Vec::new();
+    let mut latency = LogHistogram::new();
     let mut drain_time = Duration::ZERO;
     for rep in 0..reps {
-        let mut outcome = run_rep(spec, workers, rep)?;
+        let outcome = run_rep(spec, workers, rep)?;
         revenue.push(outcome.revenue);
         regret.push(outcome.regret);
         accept_rate.push(outcome.accept_rate);
         metrics.merge(&outcome.metrics);
-        latency_pool.append(&mut outcome.latency_pool);
+        fold_latency(&mut latency, &outcome.scrape);
         drain_time += outcome.drain_time;
         obs.merge(&outcome.scrape);
     }
@@ -456,12 +448,7 @@ pub fn run_serve_cell_obs(
     } else {
         0.0
     };
-    // Percentiles come from the exact pooled per-shard windows, not the
-    // merged (bounded, eviction-prone) service window.
-    let (p50, p99) = match pdm_linalg::quantiles(&latency_pool, &[0.50, 0.99]) {
-        Ok(qs) => (qs[0], qs[1]),
-        Err(_) => (f64::NAN, f64::NAN),
-    };
+    let (latency_mean_micros, latency_p50_micros, latency_p99_micros) = latency_micros(&latency);
     Ok(ServeCellReport {
         label: spec.label.clone(),
         mix: spec.mix.name().to_owned(),
@@ -481,11 +468,32 @@ pub fn run_serve_cell_obs(
         perf: ServePerf {
             wall_clock_secs: started.elapsed().as_secs_f64(),
             quotes_per_sec,
-            latency_mean_micros: metrics.latency_stats().mean(),
-            latency_p50_micros: p50,
-            latency_p99_micros: p99,
+            latency_mean_micros,
+            latency_p50_micros,
+            latency_p99_micros,
         },
     })
+}
+
+/// Folds one repetition's per-request latency histogram
+/// ([`REQUEST_LATENCY`]) out of its final scrape into the cell's.
+pub(crate) fn fold_latency(cell: &mut LogHistogram, scrape: &MetricRegistry) {
+    if let Some(rep) = scrape.histogram_counts(REQUEST_LATENCY) {
+        cell.merge(rep);
+    }
+}
+
+/// `(mean, p50, p99)` per-request service latency of a cell in µs, read off
+/// its [`REQUEST_LATENCY`] histogram: the quantiles are bucket upper edges
+/// of the 2^(1/4) log grid, at most +19% over the true value (NaN when
+/// nothing was served); the mean is exact (zero when nothing was served).
+pub(crate) fn latency_micros(latency: &LogHistogram) -> (f64, f64, f64) {
+    let micros = |nanos: Option<f64>| nanos.map_or(f64::NAN, |nanos| nanos / 1e3);
+    (
+        latency.mean() / 1e3,
+        micros(latency.quantile(0.50)),
+        micros(latency.quantile(0.99)),
+    )
 }
 
 /// [`run_serve_cell_obs`] with the scrape discarded, for callers that only

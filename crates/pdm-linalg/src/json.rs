@@ -20,6 +20,13 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level, so an unbounded depth lets a hostile document
+/// (say 200,000 nested `[`) overflow the stack and abort the process; past
+/// this depth it returns an error instead.  Snapshots, WAL segments and
+/// bench reports nest well under a dozen levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.  Objects preserve insertion order (no map type) so renders
 /// are deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,11 +156,12 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document, requiring it to span the whole input.
+    /// Parses a JSON document, requiring it to span the whole input and to
+    /// nest at most [`MAX_DEPTH`] arrays/objects deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -229,8 +237,14 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -246,7 +260,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -271,7 +285,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -329,13 +343,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so this is
-                // always at a char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                // pdm-lint: allow(no-unwrap-in-lib) reason="the match arm above guarantees the remainder is non-empty"
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape.  Both
+                // are ASCII, so the run ends on a char boundary of the input
+                // `&str`, and validating it costs only its own length.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(run);
             }
         }
     }
@@ -420,6 +436,36 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multi_mebibyte_strings_parse_in_linear_time_and_round_trip() {
+        // Multi-byte characters (2-, 3- and 4-byte UTF-8) interleaved with
+        // escapes, ~6 MiB in all.  The parser used to re-validate the rest
+        // of the document per character, which made this take minutes.
+        let original = "é€😀 \"quoted\" \\ tab\t ".repeat(250_000);
+        assert!(original.len() > 6 << 20);
+        let rendered = Json::obj(vec![("blob", Json::Str(original.clone()))]).render();
+        let parsed = Json::parse(&rendered).unwrap();
+        assert_eq!(
+            parsed.get("blob").and_then(Json::as_str),
+            Some(original.as_str())
+        );
+        assert_eq!(parsed.render(), rendered);
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(200_000);
+        let err = Json::parse(&hostile).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(Json::parse(&objects).is_err());
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

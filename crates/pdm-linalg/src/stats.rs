@@ -146,13 +146,6 @@ impl SampleWindow {
         &self.samples
     }
 
-    /// The retained samples in oldest-to-newest order (once the ring has
-    /// wrapped, storage indices `0..cursor` hold the newest samples).
-    pub fn iter_chronological(&self) -> impl Iterator<Item = f64> + '_ {
-        let (newest, oldest) = self.samples.split_at(self.cursor);
-        oldest.iter().chain(newest.iter()).copied()
-    }
-
     /// Quantiles over the retained window (e.g. `&[0.5, 0.99]`).
     ///
     /// # Errors
@@ -379,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_window_evicts_oldest_and_iterates_chronologically() {
+    fn sample_window_evicts_oldest() {
         let mut window = SampleWindow::new(4);
         assert!(window.is_empty());
         assert!(window.quantiles(&[0.5]).is_err());
@@ -389,8 +382,9 @@ mod tests {
         // Capacity 4 retains the newest samples 2..=5.
         assert_eq!(window.len(), 4);
         assert_eq!(window.capacity(), 4);
-        let chronological: Vec<f64> = window.iter_chronological().collect();
-        assert_eq!(chronological, vec![2.0, 3.0, 4.0, 5.0]);
+        let mut retained = window.as_slice().to_vec();
+        retained.sort_by(f64::total_cmp);
+        assert_eq!(retained, vec![2.0, 3.0, 4.0, 5.0]);
         let qs = window.quantiles(&[0.0, 1.0]).unwrap();
         assert_eq!(qs, vec![2.0, 5.0]);
         // Degenerate capacity is clamped to one sample.

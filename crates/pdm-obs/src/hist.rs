@@ -6,8 +6,9 @@
 //! histograms is element-wise `u64` addition — exact, associative, and
 //! commutative — so any fold order over any number of workers produces the
 //! same counts, and quantile estimates read off the merged counts are
-//! deterministic.  This is the property the sampled latency window in
-//! `pdm-service` cannot offer (its ring evicts, so merges lose samples).
+//! deterministic — unlike a sampled ring window, which evicts, so merges
+//! lose samples.  `pdm-service` records its per-request latency here for
+//! that reason.
 
 use pdm_linalg::logbucket::{bucket_index, quantile_rank, BUCKETS, UPPER_EDGES};
 

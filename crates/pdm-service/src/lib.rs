@@ -49,13 +49,17 @@
 //!   that taught it nothing, so old cuts decay and a moved `θ*` is
 //!   re-admitted.  Detector firings and restarts are counted per shard and
 //!   the detector state survives snapshots (schema v3).
-//! * **Per-shard metrics** — quotes served, accept rate, revenue, exact
-//!   regret (when ground truth is supplied) plus an uncertainty-width
-//!   regret proxy, shed/rejected counts, p50/p99 service latency, and the
-//!   auction ledger (settled rounds, reserve hit-rate, clearing revenue,
-//!   welfare, no-reserve baseline) ([`ShardMetrics`]); shard ledgers fold
-//!   into one service-wide aggregate via
-//!   [`MarketService::aggregate_metrics`].
+//! * **Per-shard metrics** — a deterministic counter ledger
+//!   ([`ShardMetrics`]): quotes served, accept rate, revenue, exact regret
+//!   (when ground truth is supplied) plus an uncertainty-width regret
+//!   proxy, shed/rejected counts, drift, paging and privacy counters, and
+//!   the auction ledger (settled rounds, reserve hit-rate, clearing
+//!   revenue, welfare, no-reserve baseline).  One field table
+//!   ([`metrics::FIELDS`]) describes every counter for the merge, the
+//!   snapshot codec and the scrape; shard ledgers fold into one
+//!   service-wide aggregate via [`MarketService::aggregate_metrics`].
+//!   Per-request service latency is not a ledger figure: it is the
+//!   wall-clock [`REQUEST_LATENCY`] histogram of the scrape.
 //! * **Continuous ingest** — [`MarketService::ingest`] admits requests
 //!   through a shared `&self` reference via mutex-striped per-shard
 //!   queues, so producer threads keep feeding the service while a drain
@@ -103,7 +107,7 @@
 //! })?;
 //! service.drain(4);
 //! assert!(quote.posted_price >= 0.4); // the reserve price is honoured
-//! assert_eq!(service.metrics().sales, 1);
+//! assert_eq!(service.aggregate_metrics().sales, 1);
 //! # Ok::<(), pdm_service::ServiceError>(())
 //! ```
 //!
@@ -140,6 +144,7 @@ pub use ledger::{
     arbitrage_clamp, LedgerBank, OwnerLedger, SettledCharge, SupplyQuote, ARBITRAGE_PRICE_MARKUP,
 };
 pub use metrics::ShardMetrics;
+pub use obs::REQUEST_LATENCY;
 pub use pdm_obs::MetricRegistry;
 pub use pdm_pricing::drift::DriftPolicy;
 pub use routing::{shard_of, TenantId};

@@ -1,13 +1,12 @@
-//! Per-shard serving metrics.
+//! Per-shard serving counters.
 //!
 //! Each shard counts what it served (quotes, observations, sales), what it
 //! earned (revenue), how much it may have left on the table (exact regret
 //! when the workload supplies ground truth, the uncertainty-width *proxy*
 //! always), what it refused (shed and rejected requests), how its
 //! drift-aware tenants reacted to a moving market (surprisal-detector
-//! firings and knowledge-set restarts), and how fast it was (per-request
-//! service latency, summarised through the error-checked quantile helpers
-//! of `pdm-linalg`).
+//! firings and knowledge-set restarts), what the cold-tenant pager did, and
+//! what its privacy tenants spent and paid.
 //!
 //! Auction tenants report through the same ledger: the nested
 //! [`AuctionLedger`] counts settled rounds, sales, reserve hits, clearing
@@ -15,29 +14,23 @@
 //! the figures the `bench auction` workload and the reserve-uplift
 //! dashboards read per shard.
 //!
-//! Everything except the latency figures is **deterministic**: counts and
-//! monetary sums depend only on the request stream, never on thread timing,
-//! which is what lets `bench serve` compare worker counts byte for byte.
-//! Latency samples are wall-clock and live strictly apart.
+//! Every counter is **deterministic**: counts and monetary sums depend only
+//! on the request stream, never on thread timing, which is what lets `bench
+//! serve` compare worker counts byte for byte.  Wall-clock latency is not
+//! kept here; it lives in each shard's `pdm-obs` registry
+//! ([`crate::REQUEST_LATENCY`]).
+//!
+//! Every counter is described once, in [`FIELDS`]: its snapshot key, its
+//! scrape name and help, whether it counts or sums, the snapshot schema
+//! version that introduced it, and its accessors.  [`ShardMetrics::merge`],
+//! the snapshot/WAL codec, and the scrape export all iterate that table, so
+//! adding a counter means adding one struct field and one table row.
 
 use pdm_auction::AuctionLedger;
-use pdm_linalg::{OnlineStats, Result as LinalgResult, SampleWindow};
-use std::time::Duration;
 
-/// Maximum latency samples a ledger retains for quantile estimation.
-///
-/// A long-lived service serves requests forever; keeping every sample would
-/// grow memory without bound — the same failure mode the bounded admission
-/// queue exists to prevent.  The quantiles therefore cover a sliding window
-/// of the most recent [`LATENCY_WINDOW`] samples (which is what a latency
-/// dashboard wants anyway), while the streaming
-/// [`ShardMetrics::latency_stats`] summary keeps exact all-time
-/// mean/min/max.
-pub const LATENCY_WINDOW: usize = 65_536;
-
-/// Counters and latency samples of one shard (or of a whole service, after
+/// The counters of one shard (or of a whole service, after
 /// [`ShardMetrics::merge`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardMetrics {
     /// Price quotes served.
     pub quotes_served: u64,
@@ -91,46 +84,114 @@ pub struct ShardMetrics {
     /// Posted prices clamped down to the arbitrage-free ceiling
     /// ([`crate::ledger::ARBITRAGE_PRICE_MARKUP`] × total compensation).
     pub arbitrage_clamps: u64,
-    /// Sliding window of the most recent [`LATENCY_WINDOW`] per-request
-    /// service latency samples, in microseconds (wall-clock; excluded from
-    /// all determinism comparisons).
-    latency_window: SampleWindow,
-    /// Streaming all-time summary of every sample ever recorded.
-    latency_stats: OnlineStats,
 }
 
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        Self::new()
+/// Whether a counter counts events or sums amounts, with its reader and
+/// writer.
+#[derive(Debug, Clone, Copy)]
+pub enum Access {
+    /// An event count, persisted and exported as a whole number.
+    Count(fn(&ShardMetrics) -> u64, fn(&mut ShardMetrics) -> &mut u64),
+    /// A monetary or privacy-loss sum.
+    Sum(fn(&ShardMetrics) -> f64, fn(&mut ShardMetrics) -> &mut f64),
+}
+
+/// One counter of the ledger.  See [`FIELDS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// Key in a snapshot or WAL `metrics` object; `group.key` nests the
+    /// counter under the `group` object.
+    pub key: &'static str,
+    /// Counter name in [`crate::MarketService::scrape`].
+    pub name: &'static str,
+    /// Help text in the scrape.
+    pub help: &'static str,
+    /// Snapshot schema version that introduced the counter.  A counter as
+    /// old as its object is required in every document carrying that
+    /// object; a later one reads as zero when absent.
+    pub since: u64,
+    /// Count or sum, and how to reach it.
+    pub access: Access,
+}
+
+impl Field {
+    /// The counter as `f64` — the form snapshots and the scrape write
+    /// (counts convert exactly below 2^53).
+    #[must_use]
+    pub fn value(&self, metrics: &ShardMetrics) -> f64 {
+        match self.access {
+            Access::Count(get, _) => get(metrics) as f64,
+            Access::Sum(get, _) => get(metrics),
+        }
+    }
+
+    /// The counter's exact bit pattern (the count itself, or the sum's
+    /// `f64::to_bits`), for bit-for-bit ledger comparisons.
+    #[must_use]
+    pub fn bits(&self, metrics: &ShardMetrics) -> u64 {
+        match self.access {
+            Access::Count(get, _) => get(metrics),
+            Access::Sum(get, _) => get(metrics).to_bits(),
+        }
+    }
+
+    /// The nested object holding the counter (`None` for the top level)
+    /// and its key inside that object.
+    #[must_use]
+    pub fn path(&self) -> (Option<&'static str>, &'static str) {
+        match self.key.split_once('.') {
+            Some((group, key)) => (Some(group), key),
+            None => (None, self.key),
+        }
     }
 }
+
+macro_rules! count {
+    ($($path:ident).+) => {
+        Access::Count(|m| m.$($path).+, |m| &mut m.$($path).+)
+    };
+}
+
+macro_rules! sum {
+    ($($path:ident).+) => {
+        Access::Sum(|m| m.$($path).+, |m| &mut m.$($path).+)
+    };
+}
+
+/// Every counter of [`ShardMetrics`], in snapshot and export order.  The
+/// rows of one nested object are contiguous.
+#[rustfmt::skip]
+pub const FIELDS: &[Field] = &[
+    Field { key: "quotes_served", name: "quotes_served_total", since: 1, access: count!(quotes_served), help: "Price quotes served" },
+    Field { key: "observations", name: "observations_total", since: 1, access: count!(observations), help: "Outcome reports applied" },
+    Field { key: "sales", name: "sales_total", since: 1, access: count!(sales), help: "Accepted quotes" },
+    Field { key: "revenue", name: "revenue_total", since: 1, access: sum!(revenue), help: "Cumulative revenue from accepted quotes" },
+    Field { key: "regret", name: "regret_total", since: 1, access: sum!(regret), help: "Exact cumulative regret (ground-truth outcomes only)" },
+    Field { key: "regret_proxy", name: "regret_proxy_total", since: 1, access: sum!(regret_proxy), help: "Cumulative quote uncertainty width" },
+    Field { key: "shed", name: "shed_total", since: 1, access: count!(shed), help: "Requests shed at admission (queue full)" },
+    Field { key: "rejected", name: "rejected_total", since: 1, access: count!(rejected), help: "Requests that reached a shard but could not be served" },
+    Field { key: "drift_fires", name: "drift_fires_total", since: 3, access: count!(drift_fires), help: "Drift-detector firings" },
+    Field { key: "drift_restarts", name: "drift_restarts_total", since: 3, access: count!(drift_restarts), help: "Knowledge-set restarts" },
+    Field { key: "evictions", name: "evictions_total", since: 4, access: count!(evictions), help: "Tenant sessions paged out by the cold-tenant pager" },
+    Field { key: "rehydrations", name: "rehydrations_total", since: 4, access: count!(rehydrations), help: "Paged-out tenant sessions materialised back in" },
+    Field { key: "epsilon_spent", name: "epsilon_spent_total", since: 5, access: sum!(epsilon_spent), help: "Privacy leakage debited across privacy tenants" },
+    Field { key: "compensation_paid", name: "compensation_paid_total", since: 5, access: sum!(compensation_paid), help: "Compensation accrued to data owners" },
+    Field { key: "owners_exhausted", name: "owners_exhausted_total", since: 5, access: count!(owners_exhausted), help: "Data owners retired on budget exhaustion" },
+    Field { key: "privacy_throttled", name: "privacy_throttled_total", since: 5, access: count!(privacy_throttled), help: "Privacy quotes refused for exhausted supply" },
+    Field { key: "arbitrage_clamps", name: "arbitrage_clamps_total", since: 5, access: count!(arbitrage_clamps), help: "Posted prices clamped to the arbitrage-free ceiling" },
+    Field { key: "auction.auctions", name: "auction.rounds_total", since: 2, access: count!(auction.auctions), help: "Auction rounds settled" },
+    Field { key: "auction.sales", name: "auction.sales_total", since: 2, access: count!(auction.sales), help: "Auction rounds that sold" },
+    Field { key: "auction.reserve_hits", name: "auction.reserve_hits_total", since: 2, access: count!(auction.reserve_hits), help: "Sold auction rounds priced by the reserve" },
+    Field { key: "auction.revenue", name: "auction.revenue_total", since: 2, access: sum!(auction.revenue), help: "Cumulative auction clearing revenue" },
+    Field { key: "auction.welfare", name: "auction.welfare_total", since: 2, access: sum!(auction.welfare), help: "Cumulative allocative welfare (winning bids)" },
+    Field { key: "auction.baseline_revenue", name: "auction.baseline_revenue_total", since: 2, access: sum!(auction.baseline_revenue), help: "Second-price-no-reserve baseline revenue" },
+];
 
 impl ShardMetrics {
     /// An empty metrics ledger.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            quotes_served: 0,
-            observations: 0,
-            sales: 0,
-            revenue: 0.0,
-            regret: 0.0,
-            regret_proxy: 0.0,
-            shed: 0,
-            rejected: 0,
-            auction: AuctionLedger::default(),
-            drift_fires: 0,
-            drift_restarts: 0,
-            evictions: 0,
-            rehydrations: 0,
-            epsilon_spent: 0.0,
-            compensation_paid: 0.0,
-            owners_exhausted: 0,
-            privacy_throttled: 0,
-            arbitrage_clamps: 0,
-            latency_window: SampleWindow::new(LATENCY_WINDOW),
-            latency_stats: OnlineStats::new(),
-        }
+        Self::default()
     }
 
     /// Fraction of sold auction rounds whose price was set by the reserve
@@ -175,173 +236,61 @@ impl ShardMetrics {
         }
     }
 
-    /// Records one request's service time.
-    pub fn record_latency(&mut self, elapsed: Duration) {
-        let micros = elapsed.as_secs_f64() * 1e6;
-        self.latency_window.push(micros);
-        self.latency_stats.push(micros);
-    }
-
-    /// Records the service time of a batch of `count` requests drained in
-    /// one go: the batch wall-clock is split evenly, one sample per request,
-    /// so window occupancy and all-time counts stay per-request comparable
-    /// with [`ShardMetrics::record_latency`].  A `count` of zero is a no-op.
-    pub fn record_latency_batch(&mut self, elapsed: Duration, count: usize) {
-        if count == 0 {
-            return;
-        }
-        let micros = elapsed.as_secs_f64() * 1e6 / count as f64;
-        for _ in 0..count {
-            self.latency_window.push(micros);
-            self.latency_stats.push(micros);
-        }
-    }
-
-    /// Number of latency samples currently retained in the quantile window
-    /// (all-time counts live in [`ShardMetrics::latency_stats`]).
-    #[must_use]
-    pub fn latency_samples(&self) -> usize {
-        self.latency_window.len()
-    }
-
-    /// Read access to the retained latency window, in microseconds
-    /// (storage order).  Consumers that need exact percentiles over *many*
-    /// ledgers — e.g. `bench serve` pooling every shard of every repetition
-    /// — collect these slices themselves instead of going through
-    /// [`ShardMetrics::merge`], whose merged window evicts the
-    /// earliest-merged ledgers' samples once the union exceeds
-    /// [`LATENCY_WINDOW`].
-    #[must_use]
-    pub fn latency_window(&self) -> &[f64] {
-        self.latency_window.as_slice()
-    }
-
-    /// Streaming all-time mean/min/max summary of the service latency.
-    #[must_use]
-    pub fn latency_stats(&self) -> &OnlineStats {
-        &self.latency_stats
-    }
-
-    /// Service-latency quantiles in microseconds (e.g. `&[0.5, 0.99]` for
-    /// p50/p99), over the most recent [`LATENCY_WINDOW`] samples.
-    ///
-    /// # Errors
-    /// Propagates [`pdm_linalg::LinalgError::Empty`] when the shard has not
-    /// served anything yet — the documented error path of the quantile
-    /// helpers, surfaced instead of a silent `NaN`.
-    pub fn latency_quantiles(&self, qs: &[f64]) -> LinalgResult<Vec<f64>> {
-        self.latency_window.quantiles(qs)
-    }
-
-    /// The p50/p99 pair most dashboards want, as `(p50, p99)`.
-    ///
-    /// # Errors
-    /// Same as [`ShardMetrics::latency_quantiles`].
-    pub fn latency_p50_p99(&self) -> LinalgResult<(f64, f64)> {
-        let qs = self.latency_quantiles(&[0.50, 0.99])?;
-        Ok((qs[0], qs[1]))
-    }
-
-    /// Accumulates another ledger into this one (used to roll shards up
-    /// into service-level totals).
+    /// Accumulates another ledger into this one, counter by counter (used
+    /// to roll shards up into service-level totals).
     pub fn merge(&mut self, other: &ShardMetrics) {
-        self.quotes_served += other.quotes_served;
-        self.observations += other.observations;
-        self.sales += other.sales;
-        self.revenue += other.revenue;
-        self.regret += other.regret;
-        self.regret_proxy += other.regret_proxy;
-        self.shed += other.shed;
-        self.rejected += other.rejected;
-        self.auction.merge(&other.auction);
-        self.drift_fires += other.drift_fires;
-        self.drift_restarts += other.drift_restarts;
-        self.evictions += other.evictions;
-        self.rehydrations += other.rehydrations;
-        self.epsilon_spent += other.epsilon_spent;
-        self.compensation_paid += other.compensation_paid;
-        self.owners_exhausted += other.owners_exhausted;
-        self.privacy_throttled += other.privacy_throttled;
-        self.arbitrage_clamps += other.arbitrage_clamps;
-        // Replay the other window oldest-first so the merged ring keeps the
-        // most recent samples; the all-time summaries merge exactly (not
-        // per-sample, which would double-count against the Welford merge).
-        for micros in other.latency_window.iter_chronological() {
-            self.latency_window.push(micros);
+        for field in FIELDS {
+            match field.access {
+                Access::Count(get, slot) => *slot(self) += get(other),
+                Access::Sum(get, slot) => *slot(self) += get(other),
+            }
         }
-        self.latency_stats.merge(&other.latency_stats);
+    }
+}
+
+/// A ledger whose every counter holds a distinct value, set through its own
+/// [`FIELDS`] row: the `i`-th row holds `i + 1` (counts) or `i + 0.25`
+/// (sums), so a row whose accessors reach the wrong field shows.
+#[cfg(test)]
+pub(crate) fn distinct_ledger() -> ShardMetrics {
+    let mut metrics = ShardMetrics::new();
+    for (i, field) in FIELDS.iter().enumerate() {
+        match field.access {
+            Access::Count(_, slot) => *slot(&mut metrics) = i as u64 + 1,
+            Access::Sum(_, slot) => *slot(&mut metrics) = i as f64 + 0.25,
+        }
+    }
+    metrics
+}
+
+/// Asserts that two runs of shard ledgers agree bit for bit on every
+/// counter of [`FIELDS`], naming the first shard and counter that differ.
+#[cfg(test)]
+pub(crate) fn assert_same_ledgers(actual: &[ShardMetrics], expected: &[ShardMetrics]) {
+    assert_eq!(actual.len(), expected.len(), "shard count");
+    for (shard, (actual, expected)) in actual.iter().zip(expected).enumerate() {
+        for field in FIELDS {
+            assert_eq!(
+                field.bits(actual),
+                field.bits(expected),
+                "shard {shard}: `{}` differs",
+                field.key
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_linalg::LinalgError;
-
-    #[test]
-    fn empty_metrics_error_on_quantiles_instead_of_nan() {
-        let metrics = ShardMetrics::new();
-        assert!(matches!(
-            metrics.latency_p50_p99(),
-            Err(LinalgError::Empty { .. })
-        ));
-        assert_eq!(metrics.accept_rate(), 0.0);
-        assert_eq!(metrics.shed_rate(), 0.0);
-    }
-
-    #[test]
-    fn latency_quantiles_come_from_the_recorded_samples() {
-        let mut metrics = ShardMetrics::new();
-        for millis in [1, 2, 3, 4, 100] {
-            metrics.record_latency(Duration::from_millis(millis));
-        }
-        let (p50, p99) = metrics.latency_p50_p99().unwrap();
-        assert!((p50 - 3_000.0).abs() < 1e-6);
-        assert!(p99 > p50);
-        assert_eq!(metrics.latency_samples(), 5);
-        assert!(metrics.latency_stats().max() >= p99);
-    }
-
-    /// Feeds `micros` straight into the window + summary, bypassing the
-    /// `Duration` round-trip so the test values stay exact.
-    fn push_micros(metrics: &mut ShardMetrics, micros: f64) {
-        metrics.latency_window.push(micros);
-        metrics.latency_stats.push(micros);
-    }
-
-    #[test]
-    fn latency_window_is_bounded_and_keeps_the_most_recent_samples() {
-        let mut metrics = ShardMetrics::new();
-        // Overfill the window: samples 0..LATENCY_WINDOW+100, each i µs.
-        for i in 0..LATENCY_WINDOW + 100 {
-            push_micros(&mut metrics, i as f64);
-        }
-        assert_eq!(metrics.latency_samples(), LATENCY_WINDOW);
-        assert_eq!(metrics.latency_window().len(), LATENCY_WINDOW);
-        // The window holds the most recent samples, so its minimum is the
-        // first surviving index, i.e. exactly 100.
-        let window_min = metrics.latency_quantiles(&[0.0]).unwrap()[0];
-        assert_eq!(window_min, 100.0);
-        // The all-time summary still saw everything.
-        assert_eq!(
-            metrics.latency_stats().count(),
-            (LATENCY_WINDOW + 100) as u64
-        );
-        assert_eq!(metrics.latency_stats().min(), 0.0);
-
-        // Merging two full windows stays bounded and keeps the newest
-        // (largest, here) samples.
-        let mut other = ShardMetrics::new();
-        for i in 0..LATENCY_WINDOW {
-            push_micros(&mut other, 1e9 + i as f64);
-        }
-        metrics.merge(&other);
-        assert_eq!(metrics.latency_samples(), LATENCY_WINDOW);
-        assert_eq!(metrics.latency_quantiles(&[0.0]).unwrap()[0], 1e9);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn rates_and_merge() {
+        let empty = ShardMetrics::new();
+        assert_eq!(empty.accept_rate(), 0.0);
+        assert_eq!(empty.shed_rate(), 0.0);
+
         let mut a = ShardMetrics::new();
         a.quotes_served = 10;
         a.observations = 10;
@@ -353,7 +302,6 @@ mod tests {
         b.observations = 2;
         b.sales = 1;
         b.revenue = 8.0;
-        b.record_latency(Duration::from_micros(50));
 
         assert!((a.accept_rate() - 0.7).abs() < 1e-12);
         assert!((a.shed_rate() - 5.0 / 25.0).abs() < 1e-12);
@@ -362,7 +310,42 @@ mod tests {
         assert_eq!(a.quotes_served, 12);
         assert_eq!(a.sales, 8);
         assert!((a.revenue - 78.0).abs() < 1e-12);
-        assert_eq!(a.latency_samples(), 1);
+    }
+
+    #[test]
+    fn merge_adds_every_counter_of_the_table() {
+        let mut merged = distinct_ledger();
+        merged.merge(&distinct_ledger());
+        for field in FIELDS {
+            let once = field.value(&distinct_ledger());
+            assert_eq!(field.value(&merged), 2.0 * once, "{}", field.key);
+        }
+        assert_eq!(merged.auction.auctions, 2 * 18);
+        assert_eq!(merged.privacy_throttled, 2 * 16);
+    }
+
+    #[test]
+    fn the_table_names_each_counter_once_and_groups_nested_rows() {
+        let keys: BTreeSet<_> = FIELDS.iter().map(|f| f.key).collect();
+        let names: BTreeSet<_> = FIELDS.iter().map(|f| f.name).collect();
+        assert_eq!(keys.len(), FIELDS.len());
+        assert_eq!(names.len(), FIELDS.len());
+        // The codec opens a nested object at its first row, so the rows of
+        // one group must be contiguous.
+        let mut closed = BTreeSet::new();
+        let mut open = None;
+        for field in FIELDS {
+            let (group, _) = field.path();
+            if group != open {
+                if let Some(done) = open {
+                    closed.insert(done);
+                }
+                assert!(group.is_none_or(|g| !closed.contains(g)), "{}", field.key);
+                open = group;
+            }
+            assert!(field.name.ends_with("_total"), "{}", field.name);
+            assert!((1..=crate::SNAPSHOT_SCHEMA_VERSION).contains(&field.since));
+        }
     }
 
     #[test]
@@ -387,54 +370,6 @@ mod tests {
         m.observations = 20;
         m.sales = 5;
         assert!((m.accept_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drift_counters_merge() {
-        let mut a = ShardMetrics::new();
-        a.drift_fires = 3;
-        a.drift_restarts = 2;
-        let mut b = ShardMetrics::new();
-        b.drift_fires = 1;
-        b.drift_restarts = 1;
-        a.merge(&b);
-        assert_eq!(a.drift_fires, 4);
-        assert_eq!(a.drift_restarts, 3);
-    }
-
-    #[test]
-    fn paging_counters_merge() {
-        let mut a = ShardMetrics::new();
-        a.evictions = 4;
-        a.rehydrations = 3;
-        let mut b = ShardMetrics::new();
-        b.evictions = 2;
-        b.rehydrations = 1;
-        a.merge(&b);
-        assert_eq!(a.evictions, 6);
-        assert_eq!(a.rehydrations, 4);
-    }
-
-    #[test]
-    fn privacy_counters_merge() {
-        let mut a = ShardMetrics::new();
-        a.epsilon_spent = 1.5;
-        a.compensation_paid = 0.25;
-        a.owners_exhausted = 3;
-        a.privacy_throttled = 2;
-        a.arbitrage_clamps = 1;
-        let mut b = ShardMetrics::new();
-        b.epsilon_spent = 0.5;
-        b.compensation_paid = 0.75;
-        b.owners_exhausted = 1;
-        b.privacy_throttled = 4;
-        b.arbitrage_clamps = 2;
-        a.merge(&b);
-        assert!((a.epsilon_spent - 2.0).abs() < 1e-12);
-        assert!((a.compensation_paid - 1.0).abs() < 1e-12);
-        assert_eq!(a.owners_exhausted, 4);
-        assert_eq!(a.privacy_throttled, 6);
-        assert_eq!(a.arbitrage_clamps, 3);
     }
 
     #[test]

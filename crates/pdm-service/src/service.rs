@@ -632,13 +632,6 @@ impl MarketService {
         total
     }
 
-    /// Alias of [`MarketService::aggregate_metrics`], kept for callers that
-    /// predate the explicit name.
-    #[must_use]
-    pub fn metrics(&self) -> ShardMetrics {
-        self.aggregate_metrics()
-    }
-
     /// One merged observability registry for the whole service — the scrape
     /// endpoint's data source.  Render it with
     /// [`MetricRegistry::render_prometheus`] or dump it with
@@ -647,14 +640,15 @@ impl MarketService {
     /// The scrape folds, in this order:
     ///
     /// 1. the service-level registry (WAL checkpoint/restore spans),
-    /// 2. every shard's registry, in shard-index order (serving-stage spans),
+    /// 2. every shard's registry, in shard-index order (serving-stage spans
+    ///    and the per-request [`crate::REQUEST_LATENCY`] histogram),
     /// 3. the aggregate [`ShardMetrics`] ledger, exported as named counters,
     /// 4. point-in-time gauges (queue depth, residency, open rounds,
     ///    memory, WAL segments).
     ///
     /// Counter and histogram merges are exact folds in a fixed order, and
     /// the gauges read deterministic engine state, so everything except the
-    /// wall-clock span halves is a pure function of the request stream —
+    /// wall-clock histograms is a pure function of the request stream —
     /// byte-identical across worker counts under
     /// [`MetricRegistry::to_json`]`(true)`.
     ///
@@ -816,7 +810,7 @@ mod tests {
             assert_eq!(ticket.tenant, response.tenant);
             assert_eq!(ticket.shard, response.shard);
         }
-        assert_eq!(service.metrics().quotes_served, 6);
+        assert_eq!(service.aggregate_metrics().quotes_served, 6);
     }
 
     #[test]
@@ -834,8 +828,8 @@ mod tests {
         assert!(service.submit_quote(query(0, &[1.0, 0.0])).is_ok());
         let err = service.submit_quote(query(0, &[1.0, 0.0])).unwrap_err();
         assert!(matches!(err, ServiceError::QueueFull { shard: 0, .. }));
-        assert_eq!(service.metrics().shed, 1);
-        assert!(service.metrics().shed_rate() > 0.0);
+        assert_eq!(service.aggregate_metrics().shed, 1);
+        assert!(service.aggregate_metrics().shed_rate() > 0.0);
         // Draining frees capacity again.
         assert_eq!(service.drain(1).len(), 2);
         assert!(service.submit_quote(query(0, &[1.0, 0.0])).is_ok());
@@ -868,7 +862,7 @@ mod tests {
         assert_eq!(service.queued_requests(), admitted);
         let responses = service.drain(4);
         assert_eq!(responses.len(), admitted);
-        let metrics = service.metrics();
+        let metrics = service.aggregate_metrics();
         assert_eq!(metrics.quotes_served as usize, admitted);
         assert_eq!(metrics.quotes_served + metrics.shed, 64);
     }
@@ -903,7 +897,11 @@ mod tests {
                 }
                 service.drain(workers);
             }
-            (posted, service.metrics().revenue, service.metrics().regret)
+            (
+                posted,
+                service.aggregate_metrics().revenue,
+                service.aggregate_metrics().regret,
+            )
         };
         let (posted_1, revenue_1, regret_1) = run(1);
         let (posted_4, revenue_4, regret_4) = run(4);
@@ -1026,41 +1024,28 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_metrics_merges_streaming_latency_stats_across_shards() {
-        // Regression guard for the latency pooling path: the aggregate must
-        // carry the all-time OnlineStats of *every* shard — count summed,
-        // min/max pooled — not just the sliding quantile windows.
+    fn scrape_latency_histogram_holds_one_sample_per_served_request() {
+        // Per-request latency lives only in the wall-clock histogram the
+        // drain feeds: every shard's samples fold into the scrape, and the
+        // histogram stays out of the deterministic dump.
         let mut service = service_with_tenants(4, 12);
         for id in 0..12 {
             service.submit_quote(query(id, &[0.6, 0.8])).unwrap();
         }
         service.drain(4);
 
-        let per_shard = service.shard_metrics();
-        let active: Vec<_> = per_shard
-            .iter()
-            .filter(|m| m.latency_stats().count() > 0)
-            .collect();
-        assert!(
-            active.len() >= 2,
-            "12 tenants over 4 shards must exercise several shards"
-        );
-        let total: u64 = active.iter().map(|m| m.latency_stats().count()).sum();
-        let min = active
-            .iter()
-            .map(|m| m.latency_stats().min())
-            .fold(f64::INFINITY, f64::min);
-        let max = active
-            .iter()
-            .map(|m| m.latency_stats().max())
-            .fold(f64::NEG_INFINITY, f64::max);
-
-        let aggregate = service.aggregate_metrics();
-        assert_eq!(aggregate.latency_stats().count(), total);
-        assert_eq!(aggregate.latency_stats().min(), min);
-        assert_eq!(aggregate.latency_stats().max(), max);
-        assert!(aggregate.latency_stats().mean() >= min);
-        assert!(aggregate.latency_stats().mean() <= max);
+        let scrape = service.scrape();
+        let latency = scrape.histogram_counts(crate::REQUEST_LATENCY).unwrap();
+        assert_eq!(latency.count(), 12);
+        assert!(latency.quantile(0.99).unwrap() >= latency.quantile(0.5).unwrap());
+        assert!(!scrape
+            .to_json(true)
+            .render()
+            .contains(crate::REQUEST_LATENCY));
+        assert!(scrape
+            .to_json(false)
+            .render()
+            .contains(crate::REQUEST_LATENCY));
     }
 
     #[test]
@@ -1319,7 +1304,7 @@ mod tests {
                 );
             }
         }
-        let metrics = service.metrics();
+        let metrics = service.aggregate_metrics();
         assert!(metrics.evictions > 0, "churn must evict");
         assert!(metrics.rehydrations > 0, "paged-out tenants must rehydrate");
         assert_eq!(metrics.quotes_served, 36);
@@ -1363,7 +1348,7 @@ mod tests {
                 }
                 service.drain(2);
             }
-            (posted, service.metrics().revenue.to_bits())
+            (posted, service.aggregate_metrics().revenue.to_bits())
         };
         let (capped_prices, capped_revenue) = run(Some(3));
         let (uncapped_prices, uncapped_revenue) = run(None);

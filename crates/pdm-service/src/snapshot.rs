@@ -15,15 +15,16 @@
 //! [`MarketService::tenant_report`](crate::MarketService::tenant_report)
 //! stays consistent with the restored shard-level metrics across a restart.
 //! Only two things restart from zero: diagnostic counters *inside* the
-//! mechanism (cut counts, exploratory-round tallies) and the wall-clock
-//! latency samples, which are meaningless across processes.
+//! mechanism (cut counts, exploratory-round tallies) and the process-local
+//! observability registry (span and request-latency histograms), whose
+//! wall-clock figures are meaningless across processes.
 //!
 //! Snapshots are only taken at a quiescent point — no queued requests, no
 //! quoted-but-unobserved rounds — so there is no in-flight state to encode.
 
 use crate::api::ServiceError;
 use crate::ledger::{LedgerBank, OwnerLedger};
-use crate::metrics::ShardMetrics;
+use crate::metrics::{Access, ShardMetrics, FIELDS};
 use crate::routing::TenantId;
 use crate::service::{MarketService, ServiceConfig};
 use crate::sync;
@@ -43,26 +44,27 @@ use pdm_pricing::prelude::{
 /// bank-level totals, persisted verbatim so restored totals are
 /// bit-identical to incrementally accumulated ones); the optional
 /// `privacy_budget`/`compensation_base`/`ledger_paging` knobs in the
-/// header; and the `epsilon_spent`/`compensation_paid`/`owners_exhausted`/
-/// `privacy_throttled`/`arbitrage_clamps` counters of the per-shard metric
-/// ledgers.  v1–v4 documents restore with no privacy tenants and zero
-/// privacy counters.
+/// header; and the privacy counters of the per-shard metric ledgers.
+/// v1–v4 documents restore with no privacy tenants and zero privacy
+/// counters.
 /// v4 added the persistence/paging layer: the optional
 /// `resident_capacity` and `wal_segment_size` sizing knobs in the header,
-/// and the `evictions`/`rehydrations` counters of the per-shard metric
-/// ledgers.  The same tenant document doubles as the WAL record format
+/// and the paging counters of the per-shard metric ledgers.  The same tenant document doubles as the WAL record format
 /// (see [`crate::wal`]).  v1–v3 documents restore with both knobs unset
 /// and zero paging counters.
 /// v3 added the drift layer: a `drift` object per tenant (the drift policy
 /// plus the surprisal detector's live state — window flags, firing and
-/// restart counters) and the `drift_fires`/`drift_restarts` counters of
-/// the per-shard metric ledgers.  v2 documents restore as static-policy
+/// restart counters) and the drift counters of the per-shard metric
+/// ledgers.  v2 documents restore as static-policy
 /// tenants with zero drift counters.
 /// v2 added the auction layer: a `market` object per tenant (posted vs
 /// auction, the reserve policy, and the empirical setter's learned bid
 /// history) and the auction counters of the per-shard metric ledgers.
 /// v1 documents restore as posted-price tenants with empty auction
 /// counters.
+///
+/// Which ledger counter arrived with which version is the `since` column of
+/// [`crate::metrics::FIELDS`].
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
 
 fn vector_json(v: &Vector) -> Json {
@@ -134,120 +136,76 @@ fn pricing_from_json(value: &Json, context: &str) -> Result<PricingConfig, Servi
     Ok(config)
 }
 
+/// One shard ledger as a snapshot/WAL `metrics` object: every [`FIELDS`]
+/// row in table order, `group.key` rows nested under their `group`.
 pub(crate) fn metrics_json(metrics: &ShardMetrics) -> Json {
-    Json::obj(vec![
-        ("quotes_served", Json::Num(metrics.quotes_served as f64)),
-        ("observations", Json::Num(metrics.observations as f64)),
-        ("sales", Json::Num(metrics.sales as f64)),
-        ("revenue", Json::Num(metrics.revenue)),
-        ("regret", Json::Num(metrics.regret)),
-        ("regret_proxy", Json::Num(metrics.regret_proxy)),
-        ("shed", Json::Num(metrics.shed as f64)),
-        ("rejected", Json::Num(metrics.rejected as f64)),
-        ("drift_fires", Json::Num(metrics.drift_fires as f64)),
-        ("drift_restarts", Json::Num(metrics.drift_restarts as f64)),
-        ("evictions", Json::Num(metrics.evictions as f64)),
-        ("rehydrations", Json::Num(metrics.rehydrations as f64)),
-        ("epsilon_spent", Json::Num(metrics.epsilon_spent)),
-        ("compensation_paid", Json::Num(metrics.compensation_paid)),
-        (
-            "owners_exhausted",
-            Json::Num(metrics.owners_exhausted as f64),
-        ),
-        (
-            "privacy_throttled",
-            Json::Num(metrics.privacy_throttled as f64),
-        ),
-        (
-            "arbitrage_clamps",
-            Json::Num(metrics.arbitrage_clamps as f64),
-        ),
-        (
-            "auction",
-            Json::obj(vec![
-                ("auctions", Json::Num(metrics.auction.auctions as f64)),
-                ("sales", Json::Num(metrics.auction.sales as f64)),
-                (
-                    "reserve_hits",
-                    Json::Num(metrics.auction.reserve_hits as f64),
-                ),
-                ("revenue", Json::Num(metrics.auction.revenue)),
-                ("welfare", Json::Num(metrics.auction.welfare)),
-                (
-                    "baseline_revenue",
-                    Json::Num(metrics.auction.baseline_revenue),
-                ),
-            ]),
-        ),
-    ])
+    let mut pairs: Vec<(String, Json)> = Vec::with_capacity(FIELDS.len());
+    for field in FIELDS {
+        let value = Json::Num(field.value(metrics));
+        match field.path() {
+            (None, key) => pairs.push((key.to_owned(), value)),
+            (Some(group), key) => {
+                // A group's rows are contiguous: open its object at the first.
+                if pairs.last().is_none_or(|(last, _)| last != group) {
+                    pairs.push((group.to_owned(), Json::Obj(Vec::new())));
+                }
+                if let Some((_, Json::Obj(nested))) = pairs.last_mut() {
+                    nested.push((key.to_owned(), value));
+                }
+            }
+        }
+    }
+    Json::Obj(pairs)
 }
 
+/// Decodes [`metrics_json`].  A counter as old as its object (the top level
+/// dates from v1, the `auction` object from v2) is required whenever that
+/// object is present; a later counter reads as zero when absent, so older
+/// documents restore with zeroed newer counters.  A counter that is present
+/// must parse either way: corruption is an error, not a silent zero.
 pub(crate) fn metrics_from_json(value: &Json, context: &str) -> Result<ShardMetrics, ServiceError> {
-    let count = |key: &str| {
-        value.get(key).and_then(Json::as_u64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing count `{key}`"))
-        })
-    };
-    let number = |key: &str| {
-        value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing number `{key}`"))
-        })
-    };
     let mut metrics = ShardMetrics::new();
-    metrics.quotes_served = count("quotes_served")?;
-    metrics.observations = count("observations")?;
-    metrics.sales = count("sales")?;
-    metrics.revenue = number("revenue")?;
-    metrics.regret = number("regret")?;
-    metrics.regret_proxy = number("regret_proxy")?;
-    metrics.shed = count("shed")?;
-    metrics.rejected = count("rejected")?;
-    // The drift counters arrived with schema v3; an absent key is an older
-    // document with no drift-aware tenants, but a *present* key must parse
-    // (corruption is an error, not a silent zero).
-    let optional_count = |key: &str| match value.get(key) {
-        None => Ok(0),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: `{key}` must be a count"))
-        }),
-    };
-    metrics.drift_fires = optional_count("drift_fires")?;
-    metrics.drift_restarts = optional_count("drift_restarts")?;
-    // The paging counters arrived with schema v4; same contract as above.
-    metrics.evictions = optional_count("evictions")?;
-    metrics.rehydrations = optional_count("rehydrations")?;
-    // The privacy counters arrived with schema v5; same contract as above.
-    let optional_number = |key: &str| match value.get(key) {
-        None => Ok(0.0),
-        Some(v) => v.as_f64().ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: `{key}` must be a number"))
-        }),
-    };
-    metrics.epsilon_spent = optional_number("epsilon_spent")?;
-    metrics.compensation_paid = optional_number("compensation_paid")?;
-    metrics.owners_exhausted = optional_count("owners_exhausted")?;
-    metrics.privacy_throttled = optional_count("privacy_throttled")?;
-    metrics.arbitrage_clamps = optional_count("arbitrage_clamps")?;
-    // The auction ledger arrived with schema v2; a v1 document simply has
-    // no auction traffic to restore.
-    if let Some(auction) = value.get("auction") {
-        let acontext = format!("{context} auction");
-        let acount = |key: &str| {
-            auction.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{acontext}: missing count `{key}`"))
-            })
+    // The nested object of the current group, looked up once per group.
+    let mut nested: (Option<&str>, Option<&Json>) = (None, Some(value));
+    for field in FIELDS {
+        let (group, key) = field.path();
+        if nested.0 != group {
+            nested = (group, group.map_or(Some(value), |group| value.get(group)));
+        }
+        // A document older than the whole object: its counters read 0.
+        let Some(object) = nested.1 else {
+            continue;
         };
-        let anumber = |key: &str| {
-            auction.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{acontext}: missing number `{key}`"))
-            })
+        let present = object.get(key);
+        let decoded = match (field.access, present) {
+            (Access::Count(_, slot), Some(raw)) => raw.as_u64().map(|n| *slot(&mut metrics) = n),
+            (Access::Sum(_, slot), Some(raw)) => raw.as_f64().map(|x| *slot(&mut metrics) = x),
+            (_, None) => None,
         };
-        metrics.auction.auctions = acount("auctions")?;
-        metrics.auction.sales = acount("sales")?;
-        metrics.auction.reserve_hits = acount("reserve_hits")?;
-        metrics.auction.revenue = anumber("revenue")?;
-        metrics.auction.welfare = anumber("welfare")?;
-        metrics.auction.baseline_revenue = anumber("baseline_revenue")?;
+        if decoded.is_some() {
+            continue;
+        }
+        // Only an absent or corrupt counter pays for the version lookup.
+        let object_since = FIELDS
+            .iter()
+            .filter(|other| other.path().0 == group)
+            .map(|other| other.since)
+            .min()
+            .unwrap_or(1);
+        let required = field.since <= object_since;
+        if present.is_none() && !required {
+            continue;
+        }
+        let context = group.map_or_else(|| context.to_owned(), |g| format!("{context} {g}"));
+        let kind = match field.access {
+            Access::Count(..) => "count",
+            Access::Sum(..) => "number",
+        };
+        return Err(ServiceError::MalformedSnapshot(if required {
+            format!("{context}: missing {kind} `{key}`")
+        } else {
+            format!("{context}: `{key}` must be a {kind}")
+        }));
     }
     Ok(metrics)
 }
@@ -1101,6 +1059,7 @@ impl MarketService {
 mod tests {
     use super::*;
     use crate::api::{OutcomeReport, QueryRequest};
+    use crate::metrics::{assert_same_ledgers, distinct_ledger};
     use pdm_linalg::sampling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1177,13 +1136,10 @@ mod tests {
         for (a, b) in expected.iter().zip(&continued) {
             assert_eq!(a.to_bits(), b.to_bits(), "restored quotes must be exact");
         }
-        // Service-level counters carried over.
-        assert_eq!(
-            original.metrics().quotes_served,
-            MarketService::restore(&snapshot)
-                .unwrap()
-                .metrics()
-                .quotes_served
+        // Every shard's counters carried over, bit for bit.
+        assert_same_ledgers(
+            &MarketService::restore(&snapshot).unwrap().shard_metrics(),
+            &original.shard_metrics(),
         );
     }
 
@@ -1234,7 +1190,7 @@ mod tests {
         for &id in &ids {
             folded.merge(&restored.tenant_report(id).unwrap());
         }
-        let metrics = restored.metrics();
+        let metrics = restored.aggregate_metrics();
         assert_eq!(folded.sales as u64, metrics.sales);
         assert_eq!(folded.rounds as u64, metrics.observations);
     }
@@ -1274,7 +1230,7 @@ mod tests {
         // accept-only revenue and round counts survived the round trip.
         let restored = MarketService::restore(&Json::parse(&first).unwrap()).unwrap();
         assert_eq!(restored.snapshot().unwrap().render_pretty(), first);
-        assert_eq!(restored.metrics().sales, 4);
+        assert_eq!(restored.aggregate_metrics().sales, 4);
     }
 
     #[test]
@@ -1312,6 +1268,96 @@ mod tests {
             .unwrap();
         service.drain(1);
         assert!(service.snapshot().is_ok());
+    }
+
+    #[test]
+    fn metrics_codec_keeps_the_schema_v5_layout_and_round_trips() {
+        // The exact bytes the hand-written v5 encoder produced: table order,
+        // counts as integers, the auction counters nested last.
+        let ledger = distinct_ledger();
+        assert_eq!(
+            metrics_json(&ledger).render(),
+            "{\"quotes_served\":1,\"observations\":2,\"sales\":3,\"revenue\":3.25,\
+             \"regret\":4.25,\"regret_proxy\":5.25,\"shed\":7,\"rejected\":8,\
+             \"drift_fires\":9,\"drift_restarts\":10,\"evictions\":11,\"rehydrations\":12,\
+             \"epsilon_spent\":12.25,\"compensation_paid\":13.25,\"owners_exhausted\":15,\
+             \"privacy_throttled\":16,\"arbitrage_clamps\":17,\"auction\":{\"auctions\":18,\
+             \"sales\":19,\"reserve_hits\":20,\"revenue\":20.25,\"welfare\":21.25,\
+             \"baseline_revenue\":22.25}}"
+        );
+        let decoded = metrics_from_json(&metrics_json(&ledger), "shard 0").unwrap();
+        assert_same_ledgers(&[decoded], &[ledger]);
+    }
+
+    /// The key/value list of a JSON object.
+    fn pairs(doc: &mut Json) -> &mut Vec<(String, Json)> {
+        match doc {
+            Json::Obj(pairs) => pairs,
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    /// The value under `key` in a JSON object.
+    fn entry<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        let pairs = pairs(doc);
+        &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    #[test]
+    fn metrics_codec_rejects_exactly_what_schema_v5_rejected() {
+        let encoded = metrics_json(&distinct_ledger());
+        let decode_edited = |edit: &dyn Fn(&mut Json)| {
+            let mut doc = encoded.clone();
+            edit(&mut doc);
+            metrics_from_json(&doc, "shard 0")
+        };
+        let error = |result: Result<ShardMetrics, ServiceError>| result.unwrap_err().to_string();
+
+        // A v1 counter is required.
+        let missing = error(decode_edited(&|doc| {
+            pairs(doc).retain(|(k, _)| k != "revenue")
+        }));
+        assert!(
+            missing.contains("shard 0: missing number `revenue`"),
+            "{missing}"
+        );
+        // Absent v3–v5 counters read as 0 (an older document).
+        let older = decode_edited(&|doc| {
+            pairs(doc).retain(|(k, _)| {
+                !matches!(k.as_str(), "drift_fires" | "evictions" | "epsilon_spent")
+            });
+        })
+        .unwrap();
+        assert_eq!((older.drift_fires, older.evictions), (0, 0));
+        assert_eq!(older.epsilon_spent, 0.0);
+        assert_eq!(older.privacy_throttled, 16, "present counters still decode");
+        // A present counter of the wrong type is an error, not a zero.
+        let wrong = error(decode_edited(&|doc| {
+            *entry(doc, "privacy_throttled") = Json::Num(1.5);
+        }));
+        assert!(
+            wrong.contains("`privacy_throttled` must be a count"),
+            "{wrong}"
+        );
+        let wrong = error(decode_edited(&|doc| {
+            *entry(doc, "compensation_paid") = Json::str("x");
+        }));
+        assert!(
+            wrong.contains("`compensation_paid` must be a number"),
+            "{wrong}"
+        );
+        // A v1 document has no auction object: every auction counter is 0…
+        let v1 = decode_edited(&|doc| pairs(doc).retain(|(k, _)| k != "auction")).unwrap();
+        assert_eq!(v1.auction.auctions, 0);
+        assert_eq!(v1.auction.revenue, 0.0);
+        // …but an auction object with a missing key is an error.
+        let partial = error(decode_edited(&|doc| {
+            pairs(entry(doc, "auction")).retain(|(k, _)| k != "welfare");
+        }));
+        assert!(
+            partial.contains("shard 0 auction: missing number `welfare`"),
+            "{partial}"
+        );
     }
 
     #[test]

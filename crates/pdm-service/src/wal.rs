@@ -230,6 +230,7 @@ impl MarketService {
 mod tests {
     use super::*;
     use crate::api::{OutcomeReport, QueryRequest};
+    use crate::metrics::assert_same_ledgers;
     use crate::routing::TenantId;
     use crate::service::ServiceConfig;
     use crate::tenant::TenantConfig;
@@ -354,16 +355,7 @@ mod tests {
             restored.wal_segments_written(),
             original.wal_segments_written()
         );
-        let expected_metrics = original.aggregate_metrics();
-        let restored_metrics = restored.aggregate_metrics();
-        assert_eq!(
-            restored_metrics.quotes_served,
-            expected_metrics.quotes_served
-        );
-        assert_eq!(
-            restored_metrics.revenue.to_bits(),
-            expected_metrics.revenue.to_bits()
-        );
+        assert_same_ledgers(&restored.shard_metrics(), &original.shard_metrics());
         // The continuation prices bit-identically.
         let expected = pump(&mut original, &ids, 2, 23);
         let actual = pump(&mut restored, &ids, 2, 23);

@@ -12,6 +12,7 @@
 
 use pdm_auction::{AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::{sampling, Json, Vector};
+use pdm_service::metrics::FIELDS;
 use pdm_service::{
     AuctionPolicy, AuctionRequest, DriftPolicy, MarketService, OutcomeReport, Payload,
     PrivacyParams, QueryRequest, ServiceConfig, TenantConfig, TenantId, TenantState,
@@ -22,6 +23,24 @@ use rand::SeedableRng;
 
 const DIM: usize = 3;
 const HORIZON: usize = 400;
+
+/// Asserts that two services' shard ledgers agree bit for bit on every
+/// counter of the field table, naming the first shard and counter that
+/// differ.
+fn assert_same_ledgers(actual: &MarketService, expected: &MarketService) {
+    let (actual, expected) = (actual.shard_metrics(), expected.shard_metrics());
+    assert_eq!(actual.len(), expected.len(), "shard count");
+    for (shard, (actual, expected)) in actual.iter().zip(&expected).enumerate() {
+        for field in FIELDS {
+            assert_eq!(
+                field.bits(actual),
+                field.bits(expected),
+                "shard {shard}: `{}` differs",
+                field.key
+            );
+        }
+    }
+}
 
 /// Tenant ids 0..2 are posted-price; 3..5 are auction tenants, one per
 /// policy.
@@ -174,6 +193,7 @@ fn mixed_snapshot_restores_bit_identically() {
         "every posted price, reserve, and clearing price must continue \
          bit-identically across the snapshot"
     );
+    assert_same_ledgers(&restored, &uninterrupted);
 
     // The snapshot itself is stable: snapshot → restore → snapshot is the
     // identity on the rendering (empirical history and auction counters
@@ -391,13 +411,8 @@ fn drift_tenant_snapshot_restores_bit_identically() {
         "drift-aware tenants must continue bit-identically across the snapshot \
          (knowledge set, detector window, and restart counters all restored)"
     );
-    // The shard-level drift counters carried over and kept counting.
-    let restored_metrics = restored.aggregate_metrics();
-    assert_eq!(restored_metrics.drift_fires, expected_metrics.drift_fires);
-    assert_eq!(
-        restored_metrics.drift_restarts,
-        expected_metrics.drift_restarts
-    );
+    // The shard-level counters carried over and kept counting.
+    assert_same_ledgers(&restored, &uninterrupted);
     // The shift actually exercised the restart machinery — otherwise this
     // test pins nothing.
     assert!(
@@ -709,23 +724,7 @@ fn privacy_snapshot_restores_bit_identically_with_ledger_counters() {
          identically across the snapshot"
     );
     // The ledger counters carried over and kept counting.
-    let restored_metrics = restored.aggregate_metrics();
-    assert_eq!(
-        restored_metrics.epsilon_spent.to_bits(),
-        expected_metrics.epsilon_spent.to_bits()
-    );
-    assert_eq!(
-        restored_metrics.compensation_paid.to_bits(),
-        expected_metrics.compensation_paid.to_bits()
-    );
-    assert_eq!(
-        restored_metrics.owners_exhausted,
-        expected_metrics.owners_exhausted
-    );
-    assert_eq!(
-        restored_metrics.privacy_throttled,
-        expected_metrics.privacy_throttled
-    );
+    assert_same_ledgers(&restored, &uninterrupted);
 
     // snapshot → restore → snapshot is the identity on the rendering.
     let restored_again = MarketService::restore(&Json::parse(&rendered).unwrap()).unwrap();
@@ -769,6 +768,7 @@ fn wal_restore_mid_checkpoint_with_ledger_records_continues_bit_identically() {
 
     let mut restored = MarketService::restore_with_wal(&base, &stream).unwrap();
     assert_eq!(restored.tenant_count(), 3);
+    assert_same_ledgers(&restored, &original);
     // Tenant-level ledger state restored bit-identically, so continuation
     // traffic prices — and throttles — exactly like the original.
     let expected = pump_privacy(&mut original, 3..16, 43);
@@ -835,14 +835,7 @@ fn wal_restore_under_paging_continues_bit_identically() {
 
     let mut restored = MarketService::restore_with_wal(&base, &stream).unwrap();
     assert_eq!(restored.tenant_count(), 6);
-    assert_eq!(
-        restored.aggregate_metrics().quotes_served,
-        churn.quotes_served
-    );
-    assert_eq!(
-        restored.aggregate_metrics().revenue.to_bits(),
-        churn.revenue.to_bits()
-    );
+    assert_same_ledgers(&restored, &original);
     // Continuation traffic: identical fresh generators for both runs.  The
     // paging decisions of the two services may differ (the restored LRU is
     // fresh) but every priced value must agree bit for bit.

@@ -10,6 +10,7 @@
 use pdm_linalg::Vector;
 use pdm_service::{
     shard_of, MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId,
+    REQUEST_LATENCY,
 };
 use proptest::prelude::*;
 
@@ -120,7 +121,7 @@ fn closed_loop(tenants: u64, rounds: usize, workers: usize) -> (Vec<u64>, f64, f
         }
         service.drain(workers);
     }
-    let metrics = service.metrics();
+    let metrics = service.aggregate_metrics();
     (posted_bits, metrics.revenue, metrics.regret)
 }
 
@@ -139,7 +140,7 @@ fn drain_worker_count_never_changes_any_served_value() {
 }
 
 #[test]
-fn per_shard_metrics_cover_all_traffic_and_latency_percentiles_exist() {
+fn per_shard_metrics_cover_all_traffic_and_the_scrape_times_every_request() {
     let mut service = MarketService::new(ServiceConfig {
         shards: 3,
         queue_capacity: 64,
@@ -165,15 +166,14 @@ fn per_shard_metrics_cover_all_traffic_and_latency_percentiles_exist() {
     assert_eq!(shards.len(), 3);
     let total: u64 = shards.iter().map(|m| m.quotes_served).sum();
     assert_eq!(total, 9);
-    for metrics in &shards {
-        if metrics.quotes_served > 0 {
-            let (p50, p99) = metrics
-                .latency_p50_p99()
-                .expect("non-empty shards have latency samples");
-            assert!(p50.is_finite() && p99 >= p50);
-        } else {
-            // The documented error path: empty shards error instead of NaN.
-            assert!(metrics.latency_p50_p99().is_err());
-        }
-    }
+    let scrape = service.scrape();
+    let latency = scrape
+        .histogram_counts(REQUEST_LATENCY)
+        .expect("every shard registers the latency histogram");
+    assert_eq!(latency.count(), 9, "one latency sample per served request");
+    let (p50, p99) = (
+        latency.quantile(0.5).unwrap(),
+        latency.quantile(0.99).unwrap(),
+    );
+    assert!(p50 > 0.0 && p99 >= p50);
 }
